@@ -37,6 +37,8 @@
 #include "esql/parser.h"
 #include "algebra/executor.h"
 #include "eve/eve_system.h"
+#include "oracles/executor_reference.h"
+#include "oracles/synchronizer_eager.h"
 #include "serve/frontend.h"
 #include "maintenance/maintainer.h"
 #include "misd/mkb.h"
@@ -497,12 +499,11 @@ BENCHMARK(BM_SynchronizeDeleteFanout);
 
 void BM_SynchronizeDeleteFanout_Eager(benchmark::State& state) {
   DeleteFanoutFixture fixture;
-  SynchronizerOptions options;
-  options.use_delta_enumeration = false;
-  ViewSynchronizer synchronizer(fixture.mkb, options);
+  const SynchronizerOptions options;
   int64_t rewritings = 0;
   for (auto _ : state) {
-    auto result = synchronizer.Synchronize(fixture.view, fixture.change);
+    auto result = internal::SynchronizeEager(fixture.mkb, options,
+                                             fixture.view, fixture.change);
     rewritings += result.ok() ? static_cast<int64_t>(result->rewritings.size())
                               : 0;
     benchmark::DoNotOptimize(result);

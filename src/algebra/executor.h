@@ -54,15 +54,6 @@ Result<Relation> ExecuteView(const ViewDefinition& view,
                              const ExecOptions& options = {},
                              const ExecContext& ctx = ExecContext::Unlimited());
 
-/// The pre-optimization reference executor: fixed FROM-order left-deep
-/// joins materializing every intermediate tuple.  Kept as the equivalence
-/// oracle for tests and as the benchmark baseline.  Governed per scanned /
-/// joined tuple.
-Result<Relation> ExecuteViewReference(
-    const ViewDefinition& view, const RelationProvider& provider,
-    const ExecOptions& options = {},
-    const ExecContext& ctx = ExecContext::Unlimited());
-
 }  // namespace eve
 
 #endif  // EVE_ALGEBRA_EXECUTOR_H_

@@ -164,12 +164,6 @@ Result<const ViewEntry*> EveSystem::GetViewEntry(const std::string& name) const 
 Result<ChangeReport> EveSystem::NotifySchemaChange(const SchemaChange& change) {
   ChangeReport report;
   report.change = SchemaChangeToString(change);
-  if (options_.ranker != nullptr &&
-      !options_.synchronizer.use_delta_enumeration) {
-    return Status::InvalidArgument(
-        "an adoption ranker requires the delta enumeration pipeline "
-        "(synchronizer.use_delta_enumeration)");
-  }
 
   // 1. Affected views.  Site resolution uses the space's cached name map,
   // rebuilt only after relation-level changes instead of rescanning every
@@ -183,11 +177,10 @@ Result<ChangeReport> EveSystem::NotifySchemaChange(const SchemaChange& change) {
   // so it runs under ParallelFor into fixed outcome slots; the serial
   // assembly below walks the slots in candidate order, which keeps the
   // report byte-identical to the serial loop regardless of thread count.
-  ViewSynchronizer synchronizer(mkb_, options_.synchronizer);
   QcModel model(options_.qc, options_.cost, options_.workload);
   // The selective policy decides skip / cap / full per (change, view) pair
   // BEFORE any enumeration.  In exhaustive mode Decide returns kFull
-  // unconditionally, so the shared synchronizer path below is the seed's.
+  // unconditionally with the base options, so enumeration is the seed's.
   const PolicyEngine policy_engine(mkb_, options_.policy,
                                    options_.synchronizer);
   struct Outcome {
@@ -221,72 +214,31 @@ Result<ChangeReport> EveSystem::NotifySchemaChange(const SchemaChange& change) {
       return Status::OK();
     }
 
-    // Delta pipeline (default): candidates stay as (base, op-log) pairs
-    // through scoring; only the ranked output and the adopted definition
-    // ever materialize.  The eager branch is the retained oracle and
-    // produces the identical report (tested).
-    bool affected = false;
-    bool dead = false;
-    bool truncated = false;
-    std::string truncation_reason;
+    // Candidates stay as (base, op-log) pairs through scoring; only the
+    // ranked output and the adopted definition ever materialize.  The
+    // decision's options are the base options, tightened (strategy set /
+    // result cap) for a cap; the per-pair synchronizer only captures them.
+    const ViewSynchronizer synchronizer(mkb_, decision.options);
+    EVE_ASSIGN_OR_RETURN(
+        CandidateSynchronizationResult sync,
+        synchronizer.SynchronizeCandidates(entry->definition, change,
+                                           ExecCtx()));
+    const bool affected = sync.affected;
+    const bool truncated = sync.truncated;
+    out.considered = sync.candidates_considered;
+    // A truncated empty result proves nothing: the view may well have
+    // rewritings the budget never reached, so death is only declared from
+    // a COMPLETE enumeration (checked below).
+    const bool dead = affected && sync.candidates.empty() && !truncated;
     ViewDefinition first_legal;
-    ViewDefinition ranker_choice;
-    if (options_.synchronizer.use_delta_enumeration) {
-      // A cap decision tightens the strategy set / result cap for this one
-      // pair; the per-pair synchronizer is cheap (it only captures options).
-      CandidateSynchronizationResult sync;
-      if (decision.action == PolicyAction::kCap) {
-        ViewSynchronizer capped(mkb_, decision.options);
-        EVE_ASSIGN_OR_RETURN(sync,
-                             capped.SynchronizeCandidates(entry->definition,
-                                                          change, ExecCtx()));
-      } else {
-        EVE_ASSIGN_OR_RETURN(sync, synchronizer.SynchronizeCandidates(
-                                       entry->definition, change, ExecCtx()));
+    if (!dead && affected && !sync.candidates.empty()) {
+      if (options_.adopt_first_legal) {
+        first_legal = sync.candidates.front().Definition();
       }
-      affected = sync.affected;
-      truncated = sync.truncated;
-      truncation_reason = std::move(sync.truncation_reason);
-      out.considered = sync.candidates_considered;
-      // A truncated empty result proves nothing: the view may well have
-      // rewritings the budget never reached, so death is only declared
-      // from a COMPLETE enumeration (checked below).
-      dead = sync.affected && sync.candidates.empty() && !truncated;
-      if (!dead && sync.affected && !sync.candidates.empty()) {
-        if (options_.adopt_first_legal) {
-          first_legal = sync.candidates.front().Definition();
-        }
-        if (options_.ranker != nullptr) {
-          // Stable argmax of the plugin's scores decides adoption; the QC
-          // ranking below is still computed and reported unchanged.
-          EVE_ASSIGN_OR_RETURN(
-              const std::vector<double> scores,
-              options_.ranker->Score(entry->definition, sync.candidates,
-                                     mkb_));
-          size_t pick = 0;
-          for (size_t s = 1; s < scores.size(); ++s) {
-            if (scores[s] > scores[pick]) pick = s;
-          }
-          ranker_choice = sync.candidates[pick].Definition();
-        }
-        EVE_ASSIGN_OR_RETURN(view_report.ranking,
-                             model.RankCandidates(entry->definition,
-                                                  std::move(sync.candidates),
-                                                  mkb_));
-      }
-    } else {
-      EVE_ASSIGN_OR_RETURN(SynchronizationResult sync,
-                           synchronizer.Synchronize(entry->definition, change));
-      affected = sync.affected;
-      dead = sync.affected && sync.rewritings.empty();
-      if (!dead && sync.affected) {
-        if (options_.adopt_first_legal) {
-          first_legal = sync.rewritings.front().definition;
-        }
-        EVE_ASSIGN_OR_RETURN(
-            view_report.ranking,
-            model.Rank(entry->definition, std::move(sync.rewritings), mkb_));
-      }
+      EVE_ASSIGN_OR_RETURN(view_report.ranking,
+                           model.RankCandidates(entry->definition,
+                                                std::move(sync.candidates),
+                                                mkb_));
     }
     if (affected && truncated && view_report.ranking.empty() &&
         first_legal.name.empty()) {
@@ -295,7 +247,8 @@ Result<ChangeReport> EveSystem::NotifySchemaChange(const SchemaChange& change) {
       return Status::ResourceExhausted(
           "synchronization of view " + view_name +
           " was cut off before any legal rewriting was found (" +
-          truncation_reason + "); raise the budget/deadline and renotify");
+          sync.truncation_reason +
+          "); raise the budget/deadline and renotify");
     }
 
     view_report.affected = affected;
@@ -309,8 +262,6 @@ Result<ChangeReport> EveSystem::NotifySchemaChange(const SchemaChange& change) {
     view_report.resulting_state = ViewState::kAlive;
     if (options_.adopt_first_legal) {
       out.chosen = std::move(first_legal);
-    } else if (!ranker_choice.name.empty()) {
-      out.chosen = std::move(ranker_choice);
     } else {
       out.chosen = view_report.ranking.front().rewriting.definition;
     }

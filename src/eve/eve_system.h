@@ -27,7 +27,6 @@
 #include "misd/mkb.h"
 #include "plan/plan_cache.h"
 #include "policy/policy.h"
-#include "policy/ranker.h"
 #include "qc/ranking.h"
 #include "serve/snapshot.h"
 #include "space/information_space.h"
@@ -86,11 +85,6 @@ struct EveOptions {
   /// (PolicyMode::kExhaustive) bypasses the decision layer entirely and is
   /// byte-identical to the seed's always-enumerate behavior.
   PolicyConfig policy;
-  /// Optional adoption ranker plugin (policy/ranker.h).  Null adopts the
-  /// QC-Model's top pick (the paper's behavior).  When set, the QC ranking
-  /// is still computed and reported, but the adopted rewriting is the
-  /// ranker's stable argmax.  Requires the delta enumeration pipeline.
-  std::shared_ptr<const CandidateRanker> ranker;
   /// Worker threads for the per-view enumerate+rank loop of
   /// NotifySchemaChange (the views are independent: each synchronizes
   /// against the same PRE-change MKB, whose memos are mutex-populated).

@@ -8,52 +8,24 @@
 namespace eve {
 
 Status EvolutionPolicy::Validate() const {
-  if (version != 1) {
-    return Status::InvalidArgument(
-        StrFormat("EvolutionPolicy version %d not understood by this build "
-                  "(expected 1)",
-                  version));
-  }
-  if (synchronizer.max_rewritings <= 0) {
+  if (options.synchronizer.max_rewritings <= 0) {
     return Status::InvalidArgument(
         "EvolutionPolicy: synchronizer.max_rewritings must be positive");
   }
-  if (synchronizer.max_pc_hops < 1) {
+  if (options.synchronizer.max_pc_hops < 1) {
     return Status::InvalidArgument(
         "EvolutionPolicy: synchronizer.max_pc_hops must be >= 1");
   }
-  if (policy.cap_max_rewritings <= 0) {
+  if (options.policy.cap_max_rewritings <= 0) {
     return Status::InvalidArgument(
         "EvolutionPolicy: policy.cap_max_rewritings must be positive");
   }
-  if (ranker != nullptr && !synchronizer.use_delta_enumeration) {
-    return Status::InvalidArgument(
-        "EvolutionPolicy: an adoption ranker requires the delta enumeration "
-        "pipeline (synchronizer.use_delta_enumeration)");
-  }
-  return qc.Validate();
+  return options.qc.Validate();
 }
-
-EveOptions EvolutionPolicy::ToEveOptions() const {
-  EveOptions options;
-  options.synchronizer = synchronizer;
-  options.qc = qc;
-  options.cost = cost;
-  options.workload = workload;
-  options.maintainer = maintainer;
-  options.materialize = materialize;
-  options.adopt_first_legal = adopt_first_legal;
-  options.synchronize_threads = synchronize_threads;
-  options.policy = policy;
-  options.ranker = ranker;
-  return options;
-}
-
-ServingOptions EvolutionPolicy::ToServingOptions() const { return serving; }
 
 Status EvolutionPolicy::ApplyTo(EveSystem& system) const {
   EVE_RETURN_IF_ERROR(Validate());
-  system.options() = ToEveOptions();
+  system.options() = options;
   system.mkb().set_selective_invalidation(selective_invalidation);
   return Status::OK();
 }
@@ -67,18 +39,18 @@ EvolutionPolicy EvolutionPolicy::Exhaustive() {
 EvolutionPolicy EvolutionPolicy::Balanced() {
   EvolutionPolicy p;
   p.name = "balanced";
-  p.policy.mode = PolicyMode::kBalanced;
-  p.policy.cap_max_rewritings = 32;
+  p.options.policy.mode = PolicyMode::kBalanced;
+  p.options.policy.cap_max_rewritings = 32;
   return p;
 }
 
 EvolutionPolicy EvolutionPolicy::LatencyBound() {
   EvolutionPolicy p;
   p.name = "latency_bound";
-  p.policy.mode = PolicyMode::kLatencyBound;
-  p.policy.cap_max_rewritings = 8;
-  p.synchronizer.max_pc_hops = 2;
-  p.synchronizer.max_rewritings = 32;
+  p.options.policy.mode = PolicyMode::kLatencyBound;
+  p.options.policy.cap_max_rewritings = 8;
+  p.options.synchronizer.max_pc_hops = 2;
+  p.options.synchronizer.max_rewritings = 32;
   p.serving.default_deadline = std::chrono::milliseconds(50);
   p.serving.max_epoch_lag = 4;
   return p;
@@ -98,16 +70,6 @@ Result<EvolutionPolicy> PolicyPresetByName(std::string_view name) {
       StrFormat("unknown policy preset \"%.*s\" (expected exhaustive, "
                 "balanced, or latency_bound)",
                 static_cast<int>(name.size()), name.data()));
-}
-
-Result<EvolutionPolicy> EvolutionPolicyBuilder::Build() {
-  if (!weights_path_.empty()) {
-    EVE_ASSIGN_OR_RETURN(LinearRanker ranker,
-                         LinearRanker::FromJsonFile(weights_path_));
-    policy_.ranker = std::make_shared<const LinearRanker>(std::move(ranker));
-  }
-  EVE_RETURN_IF_ERROR(policy_.Validate());
-  return std::move(policy_);
 }
 
 }  // namespace eve

@@ -1,71 +1,48 @@
-// EvolutionPolicy: the one versioned configuration surface of the EVE
-// pipeline (ROADMAP item 1's configuration half).
+// EvolutionPolicy: a named preset over the option structs of the EVE
+// pipeline.
 //
-// Before this struct existed, tuning an EVE deployment meant touching four
-// disconnected knob sets: SynchronizerOptions (enumeration), QcParameters
-// (ranking weights), MetaKnowledgeBase::set_selective_invalidation (memo
-// retention), and ServingOptions (admission / deadlines).  EvolutionPolicy
-// consolidates them behind one struct with
-//   * a fluent builder (EvolutionPolicyBuilder),
+// Tuning an EVE deployment touches three knob sets: EveOptions (enumeration,
+// decision policy, ranking, maintenance), MetaKnowledgeBase memo retention
+// (set_selective_invalidation), and ServingOptions (admission / deadlines).
+// EvolutionPolicy bundles one of each under a name, with
 //   * Validate() with actionable errors,
 //   * three presets: Exhaustive() (the seed's always-enumerate behavior,
 //     byte-identical and tested), Balanced() (selective skip/cap with the
 //     seed's enumeration breadth), LatencyBound() (tightened caps plus
 //     serving deadlines),
-//   * projections onto the legacy entry points (ToEveOptions,
-//     ToServingOptions, ApplyTo), which remain supported as thin aliases
-//     so existing call sites compile unchanged.
+//   * ApplyTo(system), which installs the options on a live system.
+// Custom policies start from a preset and set the member structs' fields.
 
 #ifndef EVE_POLICY_EVOLUTION_POLICY_H_
 #define EVE_POLICY_EVOLUTION_POLICY_H_
 
-#include <memory>
 #include <string>
 #include <string_view>
 
 #include "common/status.h"
 #include "eve/eve_system.h"
-#include "policy/policy.h"
-#include "policy/ranker.h"
 #include "serve/frontend.h"
 
 namespace eve {
 
-/// The unified evolution-pipeline configuration.  Aggregates every knob of
-/// enumeration, decision policy, ranking, maintenance, and serving; the
-/// projection methods produce the per-component option structs.
+/// A named evolution-pipeline configuration.
 struct EvolutionPolicy {
-  /// Schema version of this struct (bump on incompatible change; Validate
-  /// rejects versions this build does not understand).
-  int version = 1;
   /// Preset name ("exhaustive", "balanced", "latency_bound", or "custom").
   std::string name = "custom";
-
-  PolicyConfig policy;
-  SynchronizerOptions synchronizer;
-  QcParameters qc;
-  CostModelOptions cost;
-  WorkloadOptions workload;
-  MaintainerOptions maintainer;
+  EveOptions options;
   ServingOptions serving;
-
-  bool materialize = true;
-  bool adopt_first_legal = false;
-  int synchronize_threads = 0;
   /// MKB memo retention across mutations (delta-aware invalidation).
   bool selective_invalidation = true;
-  /// Adoption ranker plugin; null adopts the QC-Model top pick.
-  std::shared_ptr<const CandidateRanker> ranker;
 
-  /// Checks cross-field consistency: version understood, max_rewritings
-  /// positive, max_pc_hops >= 1, QC weights valid, cap_max_rewritings
-  /// positive, ranker only with delta enumeration.
+  /// Checks cross-field consistency: synchronizer.max_rewritings positive,
+  /// synchronizer.max_pc_hops >= 1, policy.cap_max_rewritings positive, QC
+  /// weights valid.
   Status Validate() const;
 
-  /// Projection onto EveOptions (for EveSystem construction).
-  EveOptions ToEveOptions() const;
-  /// Projection onto ServingOptions (for ServingFrontEnd construction).
-  ServingOptions ToServingOptions() const;
+  /// The options for EveSystem construction.
+  EveOptions ToEveOptions() const { return options; }
+  /// The options for ServingFrontEnd construction.
+  ServingOptions ToServingOptions() const { return serving; }
   /// Applies this policy to a live system: replaces its options and sets
   /// the MKB invalidation mode.  Validates first.
   Status ApplyTo(EveSystem& system) const;
@@ -79,102 +56,14 @@ struct EvolutionPolicy {
   /// tightened to 32 rewritings.
   static EvolutionPolicy Balanced();
   /// Balanced plus aggressively tightened enumeration (2 PC hops, 32-result
-  /// cap, CVS pairs off, 8-result cap on capped pairs) and serving
-  /// deadlines for deadline-bound deployments.
+  /// cap, 8-result cap on capped pairs) and serving deadlines for
+  /// deadline-bound deployments.
   static EvolutionPolicy LatencyBound();
 };
 
 /// Looks up a preset by name ("exhaustive", "balanced", "latency_bound";
 /// case-insensitive).  Used by the --policy / EVE_POLICY driver flag.
 Result<EvolutionPolicy> PolicyPresetByName(std::string_view name);
-
-/// Fluent construction:
-///
-///   EVE_ASSIGN_OR_RETURN(EvolutionPolicy p,
-///       EvolutionPolicyBuilder(EvolutionPolicy::Balanced())
-///           .MaxRewritings(64)
-///           .Strategies(StrategySet::All())
-///           .RankerWeightsFile("weights.json")
-///           .Build());
-///
-/// Build() validates; every setter returns *this for chaining.
-class EvolutionPolicyBuilder {
- public:
-  EvolutionPolicyBuilder() = default;
-  explicit EvolutionPolicyBuilder(EvolutionPolicy base)
-      : policy_(std::move(base)) {}
-
-  EvolutionPolicyBuilder& Mode(PolicyMode mode) {
-    policy_.policy.mode = mode;
-    return *this;
-  }
-  EvolutionPolicyBuilder& CapMaxRewritings(int cap) {
-    policy_.policy.cap_max_rewritings = cap;
-    return *this;
-  }
-  EvolutionPolicyBuilder& MaxRewritings(int max) {
-    policy_.synchronizer.max_rewritings = max;
-    return *this;
-  }
-  EvolutionPolicyBuilder& MaxPcHops(int hops) {
-    policy_.synchronizer.max_pc_hops = hops;
-    return *this;
-  }
-  EvolutionPolicyBuilder& Strategies(StrategySet strategies) {
-    policy_.synchronizer.strategies = strategies;
-    return *this;
-  }
-  EvolutionPolicyBuilder& Qc(QcParameters params) {
-    policy_.qc = params;
-    return *this;
-  }
-  EvolutionPolicyBuilder& Workload(WorkloadOptions workload) {
-    policy_.workload = workload;
-    return *this;
-  }
-  EvolutionPolicyBuilder& Serving(ServingOptions serving) {
-    policy_.serving = serving;
-    return *this;
-  }
-  EvolutionPolicyBuilder& Materialize(bool on) {
-    policy_.materialize = on;
-    return *this;
-  }
-  EvolutionPolicyBuilder& AdoptFirstLegal(bool on) {
-    policy_.adopt_first_legal = on;
-    return *this;
-  }
-  EvolutionPolicyBuilder& SynchronizeThreads(int threads) {
-    policy_.synchronize_threads = threads;
-    return *this;
-  }
-  EvolutionPolicyBuilder& SelectiveInvalidation(bool on) {
-    policy_.selective_invalidation = on;
-    return *this;
-  }
-  EvolutionPolicyBuilder& Ranker(std::shared_ptr<const CandidateRanker> r) {
-    policy_.ranker = std::move(r);
-    return *this;
-  }
-  /// Loads a LinearRanker from a JSON weight file (policy/ranker.h).  A
-  /// load failure surfaces from Build().
-  EvolutionPolicyBuilder& RankerWeightsFile(std::string path) {
-    weights_path_ = std::move(path);
-    return *this;
-  }
-  EvolutionPolicyBuilder& Name(std::string name) {
-    policy_.name = std::move(name);
-    return *this;
-  }
-
-  /// Finalizes: loads the weight file (if any) and validates.  Moves the
-  /// policy out; the builder is spent afterwards.
-  Result<EvolutionPolicy> Build();
-
- private:
-  EvolutionPolicy policy_;
-  std::string weights_path_;
-};
 
 }  // namespace eve
 

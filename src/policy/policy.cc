@@ -297,10 +297,10 @@ PolicyDecision PolicyEngine::Decide(const ViewDefinition& view,
                                  });
           }
           if (!covers) continue;
-          if (config_.cap_requires_exact_overlap) {
-            const auto overlap = EstimateIntersection(mkb_, edge);
-            if (!overlap.ok() || !overlap->exact) continue;
-          }
+          // The covering edge's overlap estimate must be exact (Fig. 9's
+          // asterisked cases stay full).
+          const auto overlap = EstimateIntersection(mkb_, edge);
+          if (!overlap.ok() || !overlap->exact) continue;
           return true;
         }
         return false;

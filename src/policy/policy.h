@@ -59,9 +59,6 @@ struct PolicyConfig {
   /// Cap decisions tighten max_rewritings to at most this many (never
   /// raising the base option).
   int cap_max_rewritings = 32;
-  /// Additionally require the covering equivalent edge's overlap estimate
-  /// to be exact before capping (Fig. 9's asterisked cases stay full).
-  bool cap_requires_exact_overlap = true;
 };
 
 /// Classification of one (change, view) pair.

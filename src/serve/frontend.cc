@@ -11,6 +11,15 @@ namespace eve {
 
 namespace {
 
+/// How many publications `pinned` trails `published` by, saturating at 0.
+/// Publish installs a snapshot before it advances CurrentSequence(), and
+/// the watchdog reads CurrentSequence() before it walks the in-flight
+/// requests, so a pinned sequence can run ahead of `published`; unsigned
+/// subtraction would turn that into a huge lag.
+uint64_t EpochLag(uint64_t published, uint64_t pinned) {
+  return published > pinned ? published - pinned : 0;
+}
+
 /// Runs the admission fault site; a non-OK return is the injected fault.
 Status AdmitFaultPoint() {
   EVE_FAULT_POINT("serve.admit");
@@ -193,7 +202,7 @@ ServeResult ServingFrontEnd::ExecuteOnce(const Request& request) {
   // Pre-check the lag so a request admitted during a burst of evolutions
   // fails fast instead of executing against an ancient epoch.
   const uint64_t published = system_.snapshots().CurrentSequence();
-  if (published - snap->sequence() > options_.max_epoch_lag) {
+  if (EpochLag(published, snap->sequence()) > options_.max_epoch_lag) {
     result.status = Status::Unavailable(
         "pinned epoch lags the publisher; resubmit against a fresh epoch");
     result.retry_after = options_.retry_after;
@@ -253,7 +262,9 @@ void ServingFrontEnd::WatchdogLoop() {
     std::lock_guard<std::mutex> lock(inflight_mu_);
     for (const std::shared_ptr<InFlight>& f : inflight_) {
       if (f->watchdog_fired.load(std::memory_order_relaxed)) continue;
-      if (published - f->pinned_sequence <= options_.max_epoch_lag) continue;
+      if (EpochLag(published, f->pinned_sequence) <= options_.max_epoch_lag) {
+        continue;
+      }
       f->watchdog_fired.store(true, std::memory_order_release);
       f->cancel.Cancel();
       std::lock_guard<std::mutex> stats_lock(stats_mu_);

@@ -1,4 +1,4 @@
-// Copy-on-write rewriting enumeration (the default pipeline).
+// Copy-on-write rewriting enumeration.
 //
 // Candidates are (shared base, RewriteDelta op log) pairs -- see
 // synch/partial.h -- so deriving a strategy candidate copies a handful of
@@ -7,12 +7,12 @@
 // cap are never materialized at all.  The legality check and the
 // structural hash both run over the compiled DeltaView overlay.
 //
-// Every strategy mirrors the eager implementation
-// (synchronizer_eager.cc) op for op: drops are recorded in descending
-// component order, substitutions override items in place, and appended
-// FROM items / conditions keep their append order, so the materialized
-// survivors are byte-identical to the eager oracle's output (asserted by
-// the corpus equivalence tests).
+// Every strategy mirrors the seed's eager implementation (the test oracle
+// in tests/oracles/synchronizer_eager.cc) op for op: drops are recorded in
+// descending component order, substitutions override items in place, and
+// appended FROM items / conditions keep their append order, so the
+// materialized survivors are byte-identical to the eager oracle's output
+// (asserted by the corpus equivalence tests).
 
 #include "synch/synchronizer.h"
 
@@ -1208,11 +1208,6 @@ ViewSynchronizer::ViewSynchronizer(const MetaKnowledgeBase& mkb,
 Result<SynchronizationResult> ViewSynchronizer::Synchronize(
     const ViewDefinition& view, const SchemaChange& change,
     const ExecContext& ctx) const {
-  if (!options_.use_delta_enumeration) {
-    // The eager oracle is the ungoverned equivalence baseline; ctx is
-    // intentionally not threaded through it.
-    return internal::SynchronizeEager(mkb_, options_, view, change);
-  }
   EVE_ASSIGN_OR_RETURN(PartialSet set,
                        Impl(mkb_, options_, view, change, ctx).Run());
   SynchronizationResult result;

@@ -16,6 +16,7 @@
 #include "algebra/provider.h"
 #include "esql/parser.h"
 #include "expr/comp_op.h"
+#include "oracles/executor_reference.h"
 #include "plan/plan_cache.h"
 #include "plan/planner.h"
 #include "storage/column_kernel.h"

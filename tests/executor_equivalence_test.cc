@@ -12,6 +12,7 @@
 #include "algebra/executor.h"
 #include "common/random.h"
 #include "esql/parser.h"
+#include "oracles/executor_reference.h"
 #include "storage/generator.h"
 #include "storage/hash_index.h"
 

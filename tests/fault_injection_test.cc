@@ -20,6 +20,7 @@
 #include "eve/eve_system.h"
 #include "maintenance/maintainer.h"
 #include "misd/mkb.h"
+#include "oracles/executor_reference.h"
 #include "plan/plan_cache.h"
 #include "plan/planner.h"
 #include "space/information_space.h"

@@ -13,6 +13,7 @@
 #include "common/random.h"
 #include "maintenance/maintainer.h"
 #include "esql/parser.h"
+#include "oracles/executor_reference.h"
 #include "plan/plan_cache.h"
 #include "qc/cost_model.h"
 #include "storage/generator.h"

@@ -1,11 +1,12 @@
 // The seed's eager synchronizer implementation, kept verbatim as the
-// equivalence oracle for the copy-on-write delta pipeline (synchronizer.cc).
+// equivalence oracle for the copy-on-write delta pipeline
+// (src/synch/synchronizer.cc).
 // Every strategy here deep-copies the working `Partial` -- including its
 // whole ViewDefinition -- once per candidate; the delta pipeline must
 // produce byte-identical SynchronizationResults (asserted by the corpus
 // equivalence tests), so treat this file as frozen.
 
-#include "synch/synchronizer.h"
+#include "oracles/synchronizer_eager.h"
 
 #include <algorithm>
 #include <optional>

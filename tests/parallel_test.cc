@@ -17,6 +17,7 @@
 #include "common/random.h"
 #include "esql/parser.h"
 #include "misd/mkb.h"
+#include "oracles/executor_reference.h"
 #include "plan/plan_cache.h"
 #include "plan/planner.h"
 #include "storage/generator.h"

@@ -13,6 +13,7 @@
 #include "common/random.h"
 #include "esql/parser.h"
 #include "eve/eve_system.h"
+#include "oracles/executor_reference.h"
 #include "plan/plan_cache.h"
 #include "plan/planner.h"
 #include "storage/generator.h"

@@ -1,8 +1,6 @@
 // The selective rewriting policy (src/policy/): decision pre-checks
 // verified against full enumeration (the oracle), cap top-1 preservation,
-// the unified EvolutionPolicy surface (presets, builder, Validate), the
-// pluggable rankers (QC default, learned linear from JSON) and their
-// determinism across thread counts, and the per-decision counters.
+// the EvolutionPolicy presets and Validate, and the per-decision counters.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +14,6 @@
 #include "esql/printer.h"
 #include "policy/evolution_policy.h"
 #include "policy/policy.h"
-#include "policy/ranker.h"
 #include "qc/ranking.h"
 #include "synch/strategy_set.h"
 #include "synch/synchronizer.h"
@@ -60,10 +57,11 @@ TEST(EvolutionPolicy, PresetsValidate) {
   EXPECT_TRUE(EvolutionPolicy::Exhaustive().Validate().ok());
   EXPECT_TRUE(EvolutionPolicy::Balanced().Validate().ok());
   EXPECT_TRUE(EvolutionPolicy::LatencyBound().Validate().ok());
-  EXPECT_EQ(EvolutionPolicy::Exhaustive().policy.mode,
+  EXPECT_EQ(EvolutionPolicy::Exhaustive().options.policy.mode,
             PolicyMode::kExhaustive);
-  EXPECT_EQ(EvolutionPolicy::Balanced().policy.mode, PolicyMode::kBalanced);
-  EXPECT_EQ(EvolutionPolicy::LatencyBound().policy.mode,
+  EXPECT_EQ(EvolutionPolicy::Balanced().options.policy.mode,
+            PolicyMode::kBalanced);
+  EXPECT_EQ(EvolutionPolicy::LatencyBound().options.policy.mode,
             PolicyMode::kLatencyBound);
 }
 
@@ -78,74 +76,35 @@ TEST(EvolutionPolicy, PresetByNameIsCaseInsensitive) {
 }
 
 TEST(EvolutionPolicy, ValidateRejectsBadKnobs) {
-  EXPECT_FALSE(EvolutionPolicyBuilder().MaxRewritings(0).Build().ok());
-  EXPECT_FALSE(EvolutionPolicyBuilder().MaxRewritings(-3).Build().ok());
-  EXPECT_FALSE(EvolutionPolicyBuilder().MaxPcHops(0).Build().ok());
-  EXPECT_FALSE(EvolutionPolicyBuilder().CapMaxRewritings(0).Build().ok());
-
-  EvolutionPolicy unknown_version;
-  unknown_version.version = 99;
-  EXPECT_FALSE(unknown_version.Validate().ok());
-
-  // A ranker needs the delta pipeline (candidates are scored as overlays).
-  EvolutionPolicy eager_with_ranker;
-  eager_with_ranker.synchronizer.use_delta_enumeration = false;
-  eager_with_ranker.ranker = std::make_shared<QcRanker>(
-      QcParameters{}, CostModelOptions{}, WorkloadOptions{});
-  EXPECT_FALSE(eager_with_ranker.Validate().ok());
-  eager_with_ranker.synchronizer.use_delta_enumeration = true;
-  EXPECT_TRUE(eager_with_ranker.Validate().ok());
+  const auto rejects = [](auto&& mutate) {
+    EvolutionPolicy policy;
+    mutate(policy.options);
+    return !policy.Validate().ok();
+  };
+  EXPECT_TRUE(
+      rejects([](EveOptions& o) { o.synchronizer.max_rewritings = 0; }));
+  EXPECT_TRUE(
+      rejects([](EveOptions& o) { o.synchronizer.max_rewritings = -3; }));
+  EXPECT_TRUE(rejects([](EveOptions& o) { o.synchronizer.max_pc_hops = 0; }));
+  EXPECT_TRUE(rejects([](EveOptions& o) { o.policy.cap_max_rewritings = 0; }));
+  EXPECT_TRUE(rejects([](EveOptions& o) { o.qc.rho_quality = 0.5; }));
+  EXPECT_FALSE(rejects([](EveOptions&) {}));
 }
 
-TEST(EvolutionPolicy, BuilderComposesOntoPreset) {
-  auto built = EvolutionPolicyBuilder(EvolutionPolicy::Balanced())
-                   .MaxRewritings(64)
-                   .Strategies(StrategySet::All().Without(Strategy::kCvsPair))
-                   .SynchronizeThreads(2)
-                   .Name("tuned")
-                   .Build();
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  EXPECT_EQ(built->name, "tuned");
-  EXPECT_EQ(built->policy.mode, PolicyMode::kBalanced);
-  EXPECT_EQ(built->synchronizer.max_rewritings, 64);
-  EXPECT_FALSE(built->synchronizer.strategies.Has(Strategy::kCvsPair));
-  const EveOptions options = built->ToEveOptions();
-  EXPECT_EQ(options.synchronize_threads, 2);
+TEST(EvolutionPolicy, FieldsComposeOntoPreset) {
+  EvolutionPolicy tuned = EvolutionPolicy::Balanced();
+  tuned.name = "tuned";
+  tuned.options.synchronizer.max_rewritings = 64;
+  tuned.options.synchronizer.strategies =
+      StrategySet::All().Without(Strategy::kCvsPair);
+  tuned.options.synchronize_threads = 2;
+  ASSERT_TRUE(tuned.Validate().ok()) << tuned.Validate().ToString();
+  const EveOptions options = tuned.ToEveOptions();
   EXPECT_EQ(options.policy.mode, PolicyMode::kBalanced);
-}
-
-// --- LinearRanker JSON weights ----------------------------------------------
-
-TEST(LinearRanker, ParsesFlatWeightObject) {
-  auto ranker = LinearRanker::FromJson(
-      "{\"bias\": 0.25, \"dd\": -1.5, \"weighted_cost\": -0.001}");
-  ASSERT_TRUE(ranker.ok()) << ranker.status().ToString();
-  EXPECT_DOUBLE_EQ(ranker->bias(), 0.25);
-  ASSERT_EQ(ranker->weights().size(), 2u);
-  EXPECT_DOUBLE_EQ(ranker->weights().at("dd"), -1.5);
-  EXPECT_DOUBLE_EQ(ranker->weights().at("weighted_cost"), -0.001);
-  EXPECT_EQ(ranker->name(), "linear");
-}
-
-TEST(LinearRanker, RejectsMalformedWeights) {
-  // Unknown feature name.
-  EXPECT_FALSE(LinearRanker::FromJson("{\"bogus\": 1}").ok());
-  // Nesting / arrays / strings.
-  EXPECT_FALSE(LinearRanker::FromJson("{\"dd\": {\"x\": 1}}").ok());
-  EXPECT_FALSE(LinearRanker::FromJson("{\"dd\": [1]}").ok());
-  EXPECT_FALSE(LinearRanker::FromJson("{\"dd\": \"1\"}").ok());
-  // Bad number / trailing junk / duplicate key / not an object.
-  EXPECT_FALSE(LinearRanker::FromJson("{\"dd\": abc}").ok());
-  EXPECT_FALSE(LinearRanker::FromJson("{\"dd\": 1} trailing").ok());
-  EXPECT_FALSE(LinearRanker::FromJson("{\"dd\": 1, \"dd\": 2}").ok());
-  EXPECT_FALSE(LinearRanker::FromJson("[1, 2]").ok());
-  EXPECT_FALSE(LinearRanker::FromJson("").ok());
-  EXPECT_FALSE(LinearRanker::FromJsonFile("/nonexistent/weights.json").ok());
-}
-
-TEST(LinearRanker, FeatureNamesMatchVectorOrder) {
-  const CandidateFeatures features;
-  EXPECT_EQ(CandidateFeatures::Names().size(), features.ToVector().size());
+  EXPECT_EQ(options.policy.cap_max_rewritings, 32);
+  EXPECT_EQ(options.synchronizer.max_rewritings, 64);
+  EXPECT_FALSE(options.synchronizer.strategies.Has(Strategy::kCvsPair));
+  EXPECT_EQ(options.synchronize_threads, 2);
 }
 
 // --- Decision pre-checks on hand-built spaces --------------------------------
@@ -217,7 +176,6 @@ TEST(PolicyDecision, CapDropsCvsPairAndPreservesTopPick) {
   PolicyConfig config;
   config.mode = PolicyMode::kBalanced;
   config.cap_max_rewritings = 8;
-  config.cap_requires_exact_overlap = false;
   const SynchronizerOptions base;
   const PolicyEngine engine(fixture.mkb, config, base);
   const PolicyDecision decision = engine.Decide(fixture.view, fixture.change);
@@ -459,61 +417,6 @@ TEST(PolicyEndToEnd, BalancedCountersAndSurvivalMatchOracle) {
   EXPECT_LE(a->MeanAdoptedQc() - b->MeanAdoptedQc(),
             0.02 * a->MeanAdoptedQc());
   EXPECT_NE(stats.ToString().find("decisions"), std::string::npos);
-}
-
-// Ranker adoption must be reproducible across the parallel per-view loop's
-// thread counts (per-candidate scoring is set-independent; adoption is a
-// stable argmax).
-TEST(PolicyEndToEnd, LinearRankerAdoptionDeterministicAcrossThreads) {
-  auto ranker = LinearRanker::FromJson(
-      "{\"bias\": 0.0, \"dd\": -2.0, \"weighted_cost\": -0.0001, "
-      "\"replacements\": -0.05, \"pc_hops_total\": -0.01}");
-  ASSERT_TRUE(ranker.ok()) << ranker.status().ToString();
-  const auto shared =
-      std::make_shared<const LinearRanker>(std::move(*ranker));
-  const auto stream =
-      GenerateEventStream(SmallScenario(), 200, SmallScenario().seed + 1);
-
-  std::string serial_log;
-  for (int threads : {1, 2, 4}) {
-    EveOptions options = EvolutionPolicy::Balanced().ToEveOptions();
-    options.ranker = shared;
-    const auto system = BuildSmall(options, threads);
-    std::string log;
-    for (const ScenarioEvent& event : stream) {
-      const auto* change = std::get_if<SchemaChange>(&event.op);
-      if (change == nullptr) continue;
-      const auto report = system->NotifySchemaChange(*change);
-      ASSERT_TRUE(report.ok()) << event.ToString() << ": "
-                               << report.status().ToString();
-      log += report->ToString();
-      log += '\n';
-    }
-    if (threads == 1) {
-      serial_log = std::move(log);
-      EXPECT_FALSE(serial_log.empty());
-    } else {
-      EXPECT_EQ(log, serial_log) << "threads=" << threads;
-    }
-  }
-}
-
-// A ranker without the delta pipeline is a configuration error, surfaced
-// at the first schema change.
-TEST(PolicyEndToEnd, RankerRequiresDeltaEnumeration) {
-  EveOptions options;
-  options.synchronizer.use_delta_enumeration = false;
-  options.ranker = std::make_shared<QcRanker>(
-      QcParameters{}, CostModelOptions{}, WorkloadOptions{});
-  options.materialize = false;
-  EveSystem system(options);
-  const Schema ab({Attribute::Make("A", DataType::kInt64, 50)});
-  Relation r("R", ab);
-  ASSERT_TRUE(system.RegisterRelation("IS1", std::move(r), 1.0).ok());
-  ASSERT_TRUE(system.DefineView("CREATE VIEW V AS SELECT R.A FROM R").ok());
-  const auto report = system.NotifySchemaChange(
-      SchemaChange(RenameAttribute{RelationId{"IS1", "R"}, "A", "A2"}));
-  EXPECT_FALSE(report.ok());
 }
 
 }  // namespace

@@ -28,6 +28,7 @@
 #include "common/fault_injection.h"
 #include "esql/parser.h"
 #include "eve/eve_system.h"
+#include "oracles/executor_reference.h"
 #include "serve/frontend.h"
 #include "serve/snapshot.h"
 #include "space/data_update.h"
@@ -448,6 +449,62 @@ TEST_F(ServeTest, ConcurrentReadersSeeByteIdenticalPinnedEpochs) {
   EXPECT_EQ(fe_errors.load(), 0);
   EXPECT_EQ(reads_ok.load(), kReaders * kReadsPerReader);
   // The stress must have actually raced readers against epoch swaps.
+  EXPECT_GT(system->snapshots().CurrentSequence(), 1u);
+}
+
+// Publish installs a snapshot before it advances CurrentSequence(), so a
+// worker can pin an epoch one publication AHEAD of the sequence it then
+// reads.  With a lag bound larger than every publication the stream makes,
+// no read may be refused or cancelled for lagging: an ahead pin has lag 0.
+TEST_F(ServeTest, PinsAheadOfThePublishedSequenceAreNotLagging) {
+  auto system = MakeWorld();
+  constexpr int kClients = 4;
+  constexpr int kReadsPerClient = 600;
+  constexpr int kMaxPublishes = 200000;
+  ServingOptions options;
+  options.workers = 2;
+  options.max_epoch_lag = kMaxPublishes + 1;
+  ServingFrontEnd fe(*system, options);
+
+  std::atomic<bool> clients_done{false};
+  std::thread publisher([&] {
+    for (int i = 0;
+         i < kMaxPublishes && !clients_done.load(std::memory_order_acquire);
+         ++i) {
+      ASSERT_TRUE(system->RefreshSnapshot().ok());
+    }
+  });
+
+  std::atomic<int> lag_refusals{0};
+  std::atomic<int> other_errors{0};
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (int t = 0; t < kClients; ++t) {
+    clients.emplace_back([&] {
+      for (int i = 0; i < kReadsPerClient; ++i) {
+        const ServeResult r = fe.QueryView("V");
+        if (r.status.ok()) continue;
+        if (r.status.code() == StatusCode::kUnavailable) {
+          ++lag_refusals;
+        } else {
+          ++other_errors;
+        }
+      }
+    });
+  }
+  for (std::thread& c : clients) c.join();
+  clients_done.store(true, std::memory_order_release);
+  publisher.join();
+  fe.Shutdown();
+
+  // Synchronous clients never fill the admission queue, so every
+  // kUnavailable is a lag verdict.
+  EXPECT_EQ(lag_refusals.load(), 0);
+  EXPECT_EQ(other_errors.load(), 0);
+  const ServingStats stats = fe.stats();
+  EXPECT_EQ(stats.watchdog_kills, 0);
+  EXPECT_EQ(stats.shed, 0);
+  EXPECT_EQ(stats.completed, kClients * kReadsPerClient);
   EXPECT_GT(system->snapshots().CurrentSequence(), 1u);
 }
 
